@@ -28,11 +28,9 @@ bench:
 
 # Trajectory-regression gate: re-measure the engine and hot-path
 # micro-benchmarks and compare against the committed BENCH.json —
-# >10% ns/op regression or any allocs/op increase fails. Also holds the
-# engine_calendar crossover (calendar queue beats the heap from 100k
-# pending, at exactly 0 allocs/op) and, on hosts with >= 4 CPUs, the
-# 1.8x rack speedup floor at 4 shards (fewer CPUs log an explicit
-# skip). Regenerate the baseline with
+# >10% ns/op regression or any allocs/op increase fails. Also holds,
+# on hosts with >= 4 CPUs, the 1.8x rack speedup floor at 4 shards
+# (fewer CPUs log an explicit skip). Regenerate the baseline with
 # `go run ./cmd/pardbench -run all -scale quick -shards 1,2,4 -json BENCH.json`.
 benchgate:
 	go run ./cmd/benchgate -baseline BENCH.json

@@ -72,8 +72,8 @@ func (m nopMem) Request(p *core.Packet) { p.Complete(m.e.Now()) }
 // pooled packet, the lookup schedules through the packet's embedded
 // event slot, and Complete returns the packet to the pool. Steady state
 // allocates nothing, and benchgate holds that line.
-// MeasureDRAMPick times an end-to-end DRAM read round trip with the
-// PIFO-backed FR-FCFS scheduler installed: Request pushes into the
+// MeasureDRAMPick times an end-to-end DRAM read round trip under the
+// default FR-FCFS rank function: Request pushes into the
 // rank-ordered queue, issue() pops the eligible minimum via PopWhere,
 // and the completion event returns the pooled packet. This is the
 // scheduling plane's hot path; benchgate holds its trajectory so
@@ -87,9 +87,6 @@ func MeasureDRAMPick() Micro {
 		cfg := dram.DefaultConfig()
 		cfg.ControlPlane = true
 		ctrl := dram.New(e, ids, cfg)
-		if err := ctrl.SetScheduler(dram.SchedPIFOFRFCFS); err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := core.NewPacket(ids, core.KindMemRead, 1, uint64(i%1024)*64, 64, e.Now())

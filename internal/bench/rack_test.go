@@ -6,23 +6,6 @@ import (
 	"repro/internal/exp"
 )
 
-// TestQueuePointSmoke runs the smallest curve point end to end: both
-// disciplines must produce sane timings and hold the zero-alloc steady
-// state the benchgate alloc gate later enforces at every population.
-func TestQueuePointSmoke(t *testing.T) {
-	p := MeasureQueuePoint(1000)
-	if p.Heap.NsPerEvent <= 0 || p.Calendar.NsPerEvent <= 0 {
-		t.Fatalf("non-positive timing: heap %v ns, calendar %v ns",
-			p.Heap.NsPerEvent, p.Calendar.NsPerEvent)
-	}
-	if p.Heap.AllocsPerEvent != 0 {
-		t.Errorf("heap steady state allocates: %v allocs/op", p.Heap.AllocsPerEvent)
-	}
-	if p.Calendar.AllocsPerEvent != 0 {
-		t.Errorf("calendar steady state allocates: %v allocs/op", p.Calendar.AllocsPerEvent)
-	}
-}
-
 // TestRackSweepSmoke checks the sweep record's structure: digests must
 // agree across shard counts (MeasureRackSweep fails otherwise), the
 // baseline point's speedup is exactly 1, and the CPU count is recorded

@@ -110,13 +110,8 @@ type Cache struct {
 	reserved []uint64
 
 	mshrs   map[mshrKey]*mshrEntry
-	stalled []*core.Packet // misses waiting for a free MSHR (SchedFIFO)
-
-	// PIFO scheduling plane for the MSHR stall queue: in pifo-fifo mode
-	// stalled misses live in a PIFO at arrival rank (the stored rank is
-	// constant, so seq — push order — is the schedule: FIFO).
-	sched string
-	spifo core.PIFO[*core.Packet]
+	stalled []*core.Packet // misses waiting for a free MSHR, oldest first
+	sched   string         // installed stall-queue algorithm, as written
 
 	// entryPool recycles mshrEntry structs so the steady-state miss path
 	// does not allocate.
@@ -163,8 +158,8 @@ const (
 // Scheduling algorithms installable on the cache plane (the .pard
 // `schedule cache <algo>` catalogue) — they order the MSHR stall queue.
 const (
-	SchedFIFO     = "fifo"      // hard-coded FIFO retry slice (default)
-	SchedPIFOFIFO = "pifo-fifo" // FIFO as a PIFO arrival rank; byte-identical trajectories
+	SchedFIFO     = "fifo"      // FIFO retry queue (default)
+	SchedPIFOFIFO = "pifo-fifo" // alias of fifo, accepted for existing policies
 )
 
 // New builds a cache. next receives fill reads and writebacks.
@@ -370,11 +365,7 @@ func (c *Cache) stall(p *core.Packet, retry bool) {
 	if !retry {
 		c.MSHRStalls++
 	}
-	if c.sched == SchedPIFOFIFO {
-		c.spifo.Push(p, 0) // constant rank: seq (arrival) is the schedule
-	} else {
-		c.stalled = append(c.stalled, p)
-	}
+	c.stalled = append(c.stalled, p)
 }
 
 func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si, tag uint64, retry bool) {
@@ -593,56 +584,34 @@ func (c *Cache) fill(key mshrKey, fromWriteback bool) {
 // hit/miss accounting (lookupStep's retry flag): the access was counted
 // when it first stalled.
 func (c *Cache) retryStalled() {
-	var p *core.Packet
-	if c.sched == SchedPIFOFIFO {
-		var ok bool
-		if p, ok = c.spifo.Pop(); !ok {
-			return
-		}
-	} else {
-		if len(c.stalled) == 0 {
-			return
-		}
-		p = c.stalled[0]
-		last := len(c.stalled) - 1
-		copy(c.stalled, c.stalled[1:])
-		c.stalled[last] = nil
-		c.stalled = c.stalled[:last]
+	if len(c.stalled) == 0 {
+		return
 	}
+	p := c.stalled[0]
+	last := len(c.stalled) - 1
+	copy(c.stalled, c.stalled[1:])
+	c.stalled[last] = nil
+	c.stalled = c.stalled[:last]
 	p.ScheduleCall(c.clock, 1, c.retryFn)
 }
 
 // stallDepth returns the number of structurally stalled misses.
-func (c *Cache) stallDepth() int { return len(c.stalled) + c.spifo.Len() }
+func (c *Cache) stallDepth() int { return len(c.stalled) }
 
 // Scheduler returns the stall-queue scheduling algorithm in force.
 func (c *Cache) Scheduler() string { return c.sched }
 
 // SetScheduler installs a stall-queue scheduling algorithm — the
 // control path behind the plane's scheduler hook and the .pard
-// `schedule cache <algo>` directive. Stalled misses migrate in FIFO
-// order.
+// `schedule cache <algo>` directive. Both names select the same FIFO,
+// so stalled misses are untouched.
 func (c *Cache) SetScheduler(algo string) error {
 	switch algo {
 	case SchedFIFO, SchedPIFOFIFO:
 	default:
 		return fmt.Errorf("cache: unknown scheduling algorithm %q (have %s, %s)", algo, SchedFIFO, SchedPIFOFIFO)
 	}
-	if algo == c.sched {
-		return nil
-	}
 	c.sched = algo
-	if algo == SchedPIFOFIFO {
-		for _, p := range c.stalled {
-			c.spifo.Push(p, 0)
-		}
-		for i := range c.stalled {
-			c.stalled[i] = nil
-		}
-		c.stalled = c.stalled[:0]
-	} else {
-		c.stalled = append(c.stalled, c.spifo.RemoveWhere(func(*core.Packet) bool { return true })...)
-	}
 	return nil
 }
 
@@ -758,10 +727,6 @@ func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
 
 	// Flush stalled accesses for ds; they would otherwise retry into a
 	// torn-down domain (or hang if the teardown drained all traffic).
-	for _, p := range c.spifo.RemoveWhere(func(p *core.Packet) bool { return p.DSID == ds }) {
-		c.rec.Finish(c.hop, p)
-		p.Complete(now)
-	}
 	if len(c.stalled) > 0 {
 		var flush []*core.Packet
 		keep := c.stalled[:0]

@@ -57,12 +57,12 @@ func (q *PIFO[T]) Peek() (v T, rank uint64, ok bool) {
 // PopWhere removes and returns the entry minimizing (rank, seq) under a
 // transient rank function: rankOf returns each entry's rank for this
 // decision only, plus its eligibility. State-dependent rank functions —
-// FR-FCFS's row-hit bit, DRR's deficit-derived virtual finish time —
-// re-rank on every pop, so the scan is linear over the queued entries
-// rather than a heap walk; the stored rank is ignored. ok is false when
+// FR-FCFS's row-hit bit, the memory plane's bank and channel
+// eligibility — re-rank on every pop, so the scan is linear over the
+// queued entries rather than a heap walk; the stored rank is ignored. ok is false when
 // no entry is eligible.
 //
-//pardlint:hotpath PIFO transient-rank pop: the FR-FCFS/DRR scheduling decision
+//pardlint:hotpath PIFO transient-rank pop: the memory plane's scheduling decision
 func (q *PIFO[T]) PopWhere(rankOf func(T) (rank uint64, eligible bool)) (v T, ok bool) {
 	best := -1
 	var bestRank, bestSeq uint64

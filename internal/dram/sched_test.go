@@ -1,6 +1,9 @@
 package dram
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -8,10 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// runWorkload drives a deterministic random workload (seeded) against a
-// fresh controller in the given scheduling mode and returns the
-// controller plus every packet's completion time in issue order.
-func runWorkload(t *testing.T, algo string, seed int64, n int) (*Controller, []sim.Tick) {
+// runWorkload drives a deterministic random workload (seeded, addresses
+// drawn from [0, space)) against a fresh controller in the given
+// scheduling mode and returns the controller plus every packet's
+// completion time in issue order.
+func runWorkload(t *testing.T, algo string, seed int64, n, space int) (*Controller, []sim.Tick) {
 	t.Helper()
 	e, c, ids := newCtrl(true)
 	if err := c.SetScheduler(algo); err != nil {
@@ -26,7 +30,7 @@ func runWorkload(t *testing.T, algo string, seed int64, n int) (*Controller, []s
 		if r.Intn(2) == 0 {
 			kind = core.KindWriteback
 		}
-		p := core.NewPacket(ids, kind, ds, uint64(r.Intn(1<<24))&^63, 64, e.Now())
+		p := core.NewPacket(ids, kind, ds, uint64(r.Intn(space))&^63, 64, e.Now())
 		c.Request(p)
 		pkts = append(pkts, p)
 		if r.Intn(4) == 0 {
@@ -44,24 +48,51 @@ func runWorkload(t *testing.T, algo string, seed int64, n int) (*Controller, []s
 	return c, done
 }
 
-// TestPIFOFRFCFSEquivalence is the tentpole gate for the memory plane:
-// the FR-FCFS rank function over the PIFO must reproduce the hard-coded
-// scan's trajectory exactly — identical per-packet completion times and
-// identical row-hit/conflict counters on a randomized mixed-priority
-// workload.
+// trajectoryDigest condenses a run into its row counters plus a hash
+// of every packet's completion time in issue order.
+func trajectoryDigest(c *Controller, done []sim.Tick) string {
+	return fmt.Sprintf("hits=%d conf=%d served=%d done=%s", c.RowHits, c.RowConflicts, c.Served, hashTicks(done))
+}
+
+// hashTicks is the FNV-64a hash of a tick sequence, in hex.
+func hashTicks(ticks []sim.Tick) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, t := range ticks {
+		binary.LittleEndian.PutUint64(b[:], uint64(t))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestPIFOFRFCFSEquivalence pins the FR-FCFS issue trajectory on a
+// randomized mixed-priority workload to the values the hard-coded
+// per-level FR-FCFS scan produced before the PIFO became the only
+// pending-request store: per-packet completion times (hashed) and the
+// row-hit/conflict counters, over a scattered address space (row
+// conflicts only) and a 32 KB one (row hits and conflicts mixed). The
+// pifo-frfcfs alias must produce the same trajectory.
 func TestPIFOFRFCFSEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 1234} {
-		legacy, ld := runWorkload(t, SchedFRFCFS, seed, 400)
-		pifo, pd := runWorkload(t, SchedPIFOFRFCFS, seed, 400)
-		for i := range ld {
-			if ld[i] != pd[i] {
-				t.Fatalf("seed %d: packet %d completed at %v under frfcfs, %v under pifo-frfcfs", seed, i, ld[i], pd[i])
+	golden := []struct {
+		space int
+		seed  int64
+		want  string
+	}{
+		{1 << 24, 1, "hits=0 conf=384 served=400 done=ca0336e80e8f292e"},
+		{1 << 24, 7, "hits=0 conf=384 served=400 done=5aa36a33c6ad8268"},
+		{1 << 24, 42, "hits=0 conf=384 served=400 done=317e50cce6d8b812"},
+		{1 << 24, 1234, "hits=0 conf=384 served=400 done=bf012cad8cb0345d"},
+		{1 << 15, 1, "hits=194 conf=190 served=400 done=6a483e7ccd1ac2ad"},
+		{1 << 15, 7, "hits=189 conf=195 served=400 done=fe37fbe3491ef8e6"},
+		{1 << 15, 42, "hits=172 conf=212 served=400 done=53b8d7414320624c"},
+		{1 << 15, 1234, "hits=198 conf=186 served=400 done=e022700a5ae59a6d"},
+	}
+	for _, g := range golden {
+		for _, algo := range []string{SchedFRFCFS, SchedPIFOFRFCFS} {
+			c, done := runWorkload(t, algo, g.seed, 400, g.space)
+			if got := trajectoryDigest(c, done); got != g.want {
+				t.Errorf("%s space=%d seed=%d: trajectory %s, want %s", algo, g.space, g.seed, got, g.want)
 			}
-		}
-		if legacy.RowHits != pifo.RowHits || legacy.RowConflicts != pifo.RowConflicts || legacy.Served != pifo.Served {
-			t.Fatalf("seed %d: counters diverge: legacy hits=%d conf=%d served=%d, pifo hits=%d conf=%d served=%d",
-				seed, legacy.RowHits, legacy.RowConflicts, legacy.Served,
-				pifo.RowHits, pifo.RowConflicts, pifo.Served)
 		}
 	}
 }
@@ -166,6 +197,50 @@ func TestSetSchedulerMigratesBacklog(t *testing.T) {
 	waitAll(e, pkts...)
 	if c.Served != 20 {
 		t.Fatalf("Served = %d after two scheduler swaps, want 20", c.Served)
+	}
+}
+
+// TestSetSchedulerRoundTripKeepsOrder: switching frfcfs -> edf ->
+// frfcfs with a backlog pending and no command slot in between must
+// leave the schedule untouched — every request served, each at the
+// same tick as in a run that never switched.
+func TestSetSchedulerRoundTripKeepsOrder(t *testing.T) {
+	run := func(roundTrip bool) []sim.Tick {
+		e, c, ids := newCtrl(true)
+		c.Plane().Params().SetName(1, ParamPriority, 1)
+		rowStride := uint64(c.cfg.RowBytes * c.totalBanks())
+		var pkts []*core.Packet
+		for i := 0; i < 24; i++ {
+			// Three rows per bank over two banks: hits, conflicts and
+			// both priority levels in one backlog.
+			addr := uint64(i%3)*rowStride + uint64(i%2)*uint64(c.cfg.RowBytes)
+			pkts = append(pkts, read(e, c, ids, core.DSID(i%3), addr))
+		}
+		if roundTrip {
+			if err := c.SetScheduler(SchedEDF); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetScheduler(SchedFRFCFS); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A bounded run, so a lost request fails instead of hanging:
+		// the backlog drains in a few microseconds.
+		e.Run(e.Now() + 100*sim.Microsecond)
+		done := make([]sim.Tick, len(pkts))
+		for i, p := range pkts {
+			if !p.Completed() {
+				t.Fatalf("roundTrip=%v: request %d never served", roundTrip, i)
+			}
+			done[i] = p.Done
+		}
+		return done
+	}
+	want, got := run(false), run(true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("request %d done at %v after the round trip, %v without", i, got[i], want[i])
+		}
 	}
 }
 

@@ -59,8 +59,8 @@ const drrQuantumPerWeight = 8 << 10
 // Scheduling algorithms installable on the IDE plane (the .pard
 // `schedule ide <algo>` catalogue).
 const (
-	SchedDRR     = "drr"      // hard-coded deficit round robin (default)
-	SchedPIFODRR = "pifo-drr" // DRR as a PIFO virtual-finish-time rank function; byte-identical trajectories
+	SchedDRR     = "drr"      // deficit round robin by virtual finish time (default)
+	SchedPIFODRR = "pifo-drr" // alias of drr, accepted for existing policies
 )
 
 // IDE is the disk controller. Requests are PIO packets whose Size is
@@ -81,13 +81,7 @@ type IDE struct {
 	cursor  int
 	deficit map[core.DSID]uint64
 	busy    bool
-
-	// PIFO scheduling plane: in pifo-drr mode pending transfers also
-	// live in one PIFO and the deficit-derived virtual finish time is
-	// the transient rank (rankFn is prebound at construction).
-	sched  string
-	pifo   core.PIFO[*pendingReq]
-	rankFn func(*pendingReq) (uint64, bool)
+	sched   string // installed algorithm, as written
 
 	bytesWin map[core.DSID]*metric.Rate
 
@@ -129,7 +123,6 @@ func NewIDE(e *sim.Engine, ids *core.IDSource, cfg IDEConfig, mem core.Target, a
 		core.Column{Name: StatServBytes},
 	)
 	d.sched = SchedDRR
-	d.rankFn = d.rank
 	d.plane = core.NewPlane(e, "IDE_CP", core.PlaneTypeIDE, params, stats, cfg.TriggerSlots)
 	d.plane.SetSchedulerHook(d.SetScheduler, d.Scheduler)
 	e.Schedule(cfg.SampleInterval, d.sample)
@@ -183,9 +176,6 @@ func (d *IDE) Request(p *core.Packet) {
 		read: p.Kind == core.KindPIORead,
 	}
 	d.queues[p.DSID] = append(d.queues[p.DSID], entry)
-	if d.sched == SchedPIFODRR {
-		d.pifo.Push(entry, 0) // transient rank: re-ranked at every pop
-	}
 	if d.cfg.QueueDepth > 0 && len(d.queues[p.DSID]) <= d.cfg.QueueDepth {
 		entry.acked = true
 		entry.pkt = nil
@@ -253,7 +243,7 @@ func (d *IDE) ringIndex(ds core.DSID) int {
 // cursor) at which the pointer would serve it, with each skipped visit
 // granting one weight(ds)*quantum top-up. v = rounds*R + position is
 // unique per flow — positions are distinct — so argmin v is the DRR
-// winner and doubles as the pifo-drr rank function.
+// winner.
 func (d *IDE) virtualTime(ds core.DSID, size uint64) uint64 {
 	R := len(d.ring)
 	p := uint64((d.ringIndex(ds) - d.cursor + R) % R)
@@ -263,16 +253,6 @@ func (d *IDE) virtualTime(ds core.DSID, size uint64) uint64 {
 		n = (size - def + grant - 1) / grant // ceil-division deficit grant
 	}
 	return n*uint64(R) + p
-}
-
-// rank is the pifo-drr transient rank: only the head of each flow's
-// queue is schedulable, at its deficit-derived virtual finish time.
-func (d *IDE) rank(e *pendingReq) (uint64, bool) {
-	q := d.queues[e.ds]
-	if len(q) == 0 || q[0] != e {
-		return 0, false
-	}
-	return d.virtualTime(e.ds, uint64(e.size)), true
 }
 
 // serveNext runs the DRR scheduler when the disk is idle. The winner is
@@ -306,23 +286,15 @@ func (d *IDE) serveNext() {
 	}
 	d.cursor %= len(d.ring)
 
-	var winner *pendingReq
-	if d.sched == SchedPIFODRR {
-		winner, _ = d.pifo.PopWhere(d.rankFn)
-	} else {
-		best := -1
-		var bestV uint64
-		for i, ds := range d.ring {
-			v := d.virtualTime(ds, uint64(d.queues[ds][0].size))
-			if best == -1 || v < bestV {
-				best, bestV = i, v
-			}
+	best := -1
+	var bestV uint64
+	for i, ds := range d.ring {
+		v := d.virtualTime(ds, uint64(d.queues[ds][0].size))
+		if best == -1 || v < bestV {
+			best, bestV = i, v
 		}
-		winner = d.queues[d.ring[best]][0]
 	}
-	if winner == nil {
-		return
-	}
+	winner := d.queues[d.ring[best]][0]
 	// Replay the grant rounds the pointer passes through before the
 	// winner serves: every flow it visits strictly before the winner's
 	// virtual finish time receives one quantum per visit — exactly what
@@ -347,27 +319,15 @@ func (d *IDE) Scheduler() string { return d.sched }
 
 // SetScheduler installs a scheduling algorithm — the control path
 // behind the plane's scheduler hook and the .pard `schedule ide <algo>`
-// directive. Pending transfers migrate in (ring, queue) order.
+// directive. Both names select the same DRR over the flow queues, so
+// pending transfers are untouched.
 func (d *IDE) SetScheduler(algo string) error {
 	switch algo {
 	case SchedDRR, SchedPIFODRR:
 	default:
 		return fmt.Errorf("iodev: unknown scheduling algorithm %q (have %s, %s)", algo, SchedDRR, SchedPIFODRR)
 	}
-	if algo == d.sched {
-		return nil
-	}
 	d.sched = algo
-	if algo == SchedPIFODRR {
-		for _, ds := range d.ring {
-			for _, e := range d.queues[ds] {
-				d.pifo.Push(e, 0)
-			}
-		}
-	} else {
-		// The flow queues remain authoritative; just empty the mirror.
-		d.pifo.RemoveWhere(func(*pendingReq) bool { return true })
-	}
 	return nil
 }
 

@@ -56,8 +56,7 @@ type event struct {
 
 // before orders events by (time, scheduling order). The pair is unique
 // per event — seq is a strictly increasing per-engine counter — so the
-// order is total, and every queue implementation that pops by it yields
-// the identical schedule.
+// order is total and the pop sequence is fully determined.
 func (a *event) before(b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
@@ -65,101 +64,29 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// evqueue is the engine's pending-event store: the contract both the
-// binary heap and the calendar queue implement. pop returns the
-// (when, seq)-minimal entry; peek returns its timestamp without
-// removing it (implementations may reorganize internally — peek must
-// not change the pop sequence). The engine owns seq assignment and
-// past-time clamping, so implementations only ever order and store.
-type evqueue interface {
-	push(ev event)
-	pop() event
-	peek() (when Tick, ok bool)
-	size() int
-}
-
-// QueueKind selects an Engine's event-queue discipline.
-type QueueKind int
-
-const (
-	// Heap is the hand-specialized binary min-heap: O(log n) per
-	// operation, the reference implementation every other queue must
-	// match pop-for-pop.
-	Heap QueueKind = iota
-	// Calendar is the calendar/ladder queue (calendar.go): O(1)
-	// amortized enqueue/dequeue under bounded-horizon scheduling, built
-	// for engines holding 100k+ pending events. Pop order is identical
-	// to Heap by construction and by test (calendar_test.go).
-	Calendar
-)
-
-// String names the queue kind as BENCH.json and pardbench spell it.
-func (k QueueKind) String() string {
-	switch k {
-	case Heap:
-		return "heap"
-	case Calendar:
-		return "calendar"
-	}
-	return fmt.Sprintf("QueueKind(%d)", int(k))
-}
-
-// EngineOption configures an Engine at construction time.
-type EngineOption func(*Engine)
-
-// WithQueue selects the engine's event-queue implementation, e.g.
-// NewEngine(WithQueue(Calendar)). The default is Heap.
-func WithQueue(k QueueKind) EngineOption {
-	return func(e *Engine) {
-		switch k {
-		case Heap:
-			e.q = &binHeap{}
-		case Calendar:
-			e.q = newCalQueue()
-		default:
-			panic(fmt.Sprintf("sim: unknown queue kind %d", int(k)))
-		}
-		e.kind = k
-	}
-}
-
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // construct with NewEngine.
 //
-// The default queue is a hand-specialized binary min-heap over []event
-// rather than container/heap: the interface-based API boxes every
-// Push/Pop through interface{} (one allocation per scheduled event) and
-// calls Less/Swap through method tables. Inlining the sift operations
-// makes steady-state scheduling allocation-free and roughly halves
-// ns/event (see BenchmarkEngineThroughput and BENCH.json). For engines
-// holding hundreds of thousands of pending events, WithQueue(Calendar)
-// swaps in the calendar queue's O(1)-amortized discipline with the
-// exact same (time, scheduling order) pop sequence.
+// The queue is a hand-specialized binary min-heap over []event rather
+// than container/heap: the interface-based API boxes every Push/Pop
+// through interface{} (one allocation per scheduled event) and calls
+// Less/Swap through method tables. Inlining the sift operations makes
+// steady-state scheduling allocation-free and roughly halves ns/event
+// (see BenchmarkEngineThroughput and BENCH.json). The simulator's
+// engines hold tens of pending events, where the heap also beats an
+// O(1) bucket-ring queue (DESIGN.md §16).
 type Engine struct {
-	now  Tick
-	seq  uint64
-	q    evqueue
-	kind QueueKind
-	run  uint64 // events executed
+	now Tick
+	seq uint64
+	q   binHeap
+	run uint64 // events executed
 }
 
 // NewEngine returns an engine at time zero with an empty event queue.
-func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{}
-	for _, o := range opts {
-		o(e)
-	}
-	if e.q == nil {
-		e.q = &binHeap{}
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Tick { return e.now }
-
-// Queue reports which event-queue discipline the engine was built with.
-func (e *Engine) Queue() QueueKind { return e.kind }
 
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.run }
@@ -196,8 +123,7 @@ func (e *Engine) AtEventer(when Tick, ev Eventer) {
 	e.push(event{when: when, ev: ev})
 }
 
-// push clamps, assigns the entry's scheduling sequence and hands it to
-// the queue.
+// push clamps, assigns the entry's scheduling sequence and queues it.
 func (e *Engine) push(ev event) {
 	if ev.when < e.now {
 		ev.when = e.now
@@ -303,7 +229,7 @@ func (e *Engine) Drain(limit uint64) uint64 {
 	return n
 }
 
-// binHeap is the default queue: a binary min-heap ordered by
+// binHeap is the engine's queue: a binary min-heap ordered by
 // event.before, with the sift loops inlined so steady-state push/pop
 // never allocates (the backing array is amortized by reuse).
 type binHeap struct {

@@ -9,9 +9,8 @@ package sim
 //
 //   1. At each barrier the coordinator computes, for every shard d, a
 //      safe horizon H_d: a tick such that no message can reach d before
-//      H_d. Under the default AdaptiveWindows policy this uses per-pair
-//      channel lookaheads (SetLookahead) and the shards' committed
-//      clocks — the earliest-input-time fixpoint
+//      H_d from the per-pair channel lookaheads (SetLookahead) and the
+//      shards' committed clocks — the earliest-input-time fixpoint
 //
 //        EIT[d] = min over channels j->d of (min(F[j], EIT[j]) + look[j][d])
 //
@@ -20,10 +19,9 @@ package sim
 //      can itself be woken by one of its senders, so j's earliest
 //      possible output is min(F[j], EIT[j]) + look[j][d], not
 //      F[j] + look[j][d]. Because every lookahead is >= the group
-//      window W, EIT[d] >= first + W for all d — adaptive horizons are
-//      never tighter than the legacy lockstep window, and the
-//      globally-earliest shard always makes progress. Under
-//      LockstepWindows every shard instead shares end = first + W.
+//      window W, EIT[d] >= first + W for all d — no horizon is tighter
+//      than one global window, and the globally-earliest shard always
+//      makes progress.
 //   2. Every shard runs its own Engine independently to its horizon
 //      (exclusive). An event at tick t < H_src on the source can only
 //      produce messages arriving at t + look >= EIT[dst] >= H_dst, so
@@ -38,11 +36,11 @@ package sim
 //   4. At the barrier the coordinator merges each destination's inbound
 //      messages in (when, sent, srcShard, seq) order and injects them
 //      into the destination engine, so the merged schedule is byte-for-
-//      byte reproducible and independent of worker count, shard
-//      placement, and window policy. The pard equivalence suite asserts
+//      byte reproducible and independent of worker count and shard
+//      placement. The pard equivalence suite asserts
 //      that an N-shard run produces output identical to the sequential
 //      single-engine run; see DESIGN.md §11 for the window protocol and
-//      the residual same-tick tie rule, and §16 for the adaptive-window
+//      the residual same-tick tie rule, and §16 for the horizon
 //      safety argument.
 //
 // Shards run on a fixed pool of worker goroutines. This file is the
@@ -59,7 +57,7 @@ import (
 )
 
 // ShardProfile accumulates one shard's runtime counters across barrier
-// windows — the data ROADMAP item 3 needs to attack lockstep overhead.
+// rounds — the data that locates PDES barrier overhead.
 // Events, ActiveWindows, Sends and MailboxPeak are deterministic for a
 // given simulation. RunNs and WaitNs are wall-clock (populated only
 // when the group's profiling timer is enabled) and never reach
@@ -176,33 +174,6 @@ func (s *Shard) runWindow() {
 	}
 }
 
-// WindowPolicy selects how the coordinator computes per-round shard
-// horizons.
-type WindowPolicy int
-
-const (
-	// AdaptiveWindows (the default) gives each shard its own safe
-	// horizon from the per-pair lookahead fixpoint; quiet links no
-	// longer throttle the whole group, and shards with nothing to run
-	// skip dispatch.
-	AdaptiveWindows WindowPolicy = iota
-	// LockstepWindows is the legacy scheme: every round, all shards
-	// share the global window [first, first+W). Kept selectable so the
-	// equivalence suite can prove the two policies byte-identical.
-	LockstepWindows
-)
-
-// String names the policy as pardbench spells it.
-func (p WindowPolicy) String() string {
-	switch p {
-	case AdaptiveWindows:
-		return "adaptive"
-	case LockstepWindows:
-		return "lockstep"
-	}
-	return fmt.Sprintf("WindowPolicy(%d)", int(p))
-}
-
 // infTick marks "no event / no bound" in horizon arithmetic.
 const infTick = ^Tick(0)
 
@@ -224,7 +195,6 @@ type ShardGroup struct {
 	window  Tick
 	workers int
 	now     Tick
-	policy  WindowPolicy
 
 	// look[src][dst] is the minimum delivery latency of the src->dst
 	// channel, 0 meaning "no channel". nil means no pair was registered:
@@ -264,9 +234,8 @@ type ShardGroup struct {
 // latency >= window). workers bounds the goroutine pool; 0 means
 // GOMAXPROCS, and a pool of 1 runs every window inline on the calling
 // goroutine — the degenerate sequential mode the equivalence tests
-// compare against. Engine options (e.g. WithQueue(Calendar)) are
-// applied to every shard's private engine.
-func NewShardGroup(n int, window Tick, workers int, opts ...EngineOption) *ShardGroup {
+// compare against.
+func NewShardGroup(n int, window Tick, workers int) *ShardGroup {
 	if n <= 0 {
 		panic("sim: shard group needs at least one shard")
 	}
@@ -291,24 +260,15 @@ func NewShardGroup(n int, window Tick, workers int, opts ...EngineOption) *Shard
 		g.shards = append(g.shards, &Shard{
 			group: g,
 			index: i,
-			eng:   NewEngine(opts...),
+			eng:   NewEngine(),
 			out:   make([][]xmsg, n),
 		})
 	}
 	return g
 }
 
-// SetWindowPolicy selects the horizon scheme. Call before Run; the
-// policy never reaches simulation state, so either choice yields
-// byte-identical digests (proven by TestShardGroupPolicyEquivalence and
-// the pard rack suite).
-func (g *ShardGroup) SetWindowPolicy(p WindowPolicy) { g.policy = p }
-
-// Policy reports the group's window policy.
-func (g *ShardGroup) Policy() WindowPolicy { return g.policy }
-
 // SetLookahead registers the src->dst channel's minimum delivery
-// latency, the per-pair lookahead the adaptive policy builds horizons
+// latency, the per-pair lookahead the coordinator builds horizons
 // from. Repeated registrations keep the minimum (a pair with several
 // physical links is bounded by its fastest). The latency must be at
 // least the group window — the window is defined as the global minimum
@@ -370,7 +330,7 @@ func (g *ShardGroup) Profile(i int) ShardProfile {
 }
 
 // HorizonUtilization reports SpannedTicks as a fraction of elapsed, the
-// share of the advanced timeline that carried lockstep windows.
+// share of the advanced timeline that carried execution rounds.
 func (g *ShardGroup) HorizonUtilization() float64 {
 	if g.now == 0 {
 		return 0
@@ -418,56 +378,36 @@ func (g *ShardGroup) Run(d Tick) {
 			g.advance(target)
 			return
 		}
-		// Publish each shard's round bounds. Under lockstep every shard
-		// shares end = first + W: nothing runs before first, so any
-		// message produced inside the window arrives at >= first +
-		// latency >= first + window >= end. Under adaptive each shard
-		// gets its own earliest-input-time horizon (computeHorizons),
-		// which is >= first + W for every shard — empty stretches are
-		// skipped for free either way, since windows start at the first
-		// event, not at g.now.
+		// Publish each shard's round bounds: its own earliest-input-time
+		// horizon (computeHorizons), which is >= first + W for every
+		// shard. Empty stretches are skipped for free, since rounds
+		// start at the first event, not at g.now.
+		g.computeHorizons()
 		var maxEnd Tick
 		dispatched := 0
-		if g.policy == LockstepWindows {
-			end := first + g.window
+		for i, s := range g.shards {
+			end := g.eit[i]
 			inclusive := false
 			if end >= target {
 				end = target
 				inclusive = true
 			}
-			for i, s := range g.shards {
-				s.limit = end
-				s.inclusive = inclusive
+			s.limit = end
+			s.inclusive = inclusive
+			f := g.fnext[i]
+			if f < end || (inclusive && f == end) {
 				g.active[i] = true
+				dispatched++
+			} else {
+				// Inactive fast path: nothing to execute below the
+				// horizon, so skip worker dispatch and advance the
+				// shard clock for free.
+				g.active[i] = false
+				s.eng.advanceTo(end)
+				g.IdleSkips++
 			}
-			maxEnd = end
-			dispatched = len(g.shards)
-		} else {
-			g.computeHorizons()
-			for i, s := range g.shards {
-				end := g.eit[i]
-				inclusive := false
-				if end >= target {
-					end = target
-					inclusive = true
-				}
-				s.limit = end
-				s.inclusive = inclusive
-				f := g.fnext[i]
-				if f < end || (inclusive && f == end) {
-					g.active[i] = true
-					dispatched++
-				} else {
-					// Inactive fast path: nothing to execute below the
-					// horizon, so skip worker dispatch and advance the
-					// shard clock for free.
-					g.active[i] = false
-					s.eng.advanceTo(end)
-					g.IdleSkips++
-				}
-				if end > maxEnd {
-					maxEnd = end
-				}
+			if end > maxEnd {
+				maxEnd = end
 			}
 		}
 		if parallel && dispatched > 1 {

@@ -151,10 +151,7 @@ func journalDigest(logs []*shardLog) string {
 // runPingPong executes the reference workload on a fresh group and
 // returns the journal digest plus the group for counter inspection.
 func runPingPong(shards, workers int, window, latency Tick) (string, *ShardGroup) {
-	g := NewShardGroup(shards, window, workers)
-	logs := pingPongWorkload(g, latency)
-	g.Run(2 * Microsecond)
-	return journalDigest(logs), g
+	return runPingPongAt(shards, workers, window, latency, false)
 }
 
 // TestShardGroupDeterministicAcrossWorkers is the core mailbox-ordering
@@ -192,31 +189,22 @@ func TestShardGroupLatencyAboveWindow(t *testing.T) {
 	}
 }
 
-// TestShardGroupMatchesSingleEngine runs the identical logical workload
-// on (a) one monolithic Engine, with cross-"shard" hops modelled as
-// plain same-engine Schedules, and (b) a sharded group, and requires
-// identical journals. Timestamps in the workload are globally unique,
-// so this proves the windowed runtime neither reorders, drops, nor
-// duplicates events relative to sequential execution.
-func TestShardGroupMatchesSingleEngine(t *testing.T) {
-	const (
-		n       = 4
-		window  = 5 * Nanosecond
-		latency = 5 * Nanosecond
-	)
-
-	// Monolithic reference: same topology, one engine.
+// singleEngineJournal runs pingPongWorkload's logical workload on one
+// monolithic Engine, with cross-"shard" hops modelled as plain
+// same-engine Schedules: the sequential reference every sharded run
+// must reproduce.
+func singleEngineJournal(n int, latency Tick) string {
 	e := NewEngine()
-	refLogs := make([]*shardLog, n)
-	for i := range refLogs {
-		refLogs[i] = &shardLog{}
+	logs := make([]*shardLog, n)
+	for i := range logs {
+		logs[i] = &shardLog{}
 	}
 	for i := 0; i < n; i++ {
 		i := i
 		var pump func()
 		hops := 0
 		pump = func() {
-			refLogs[i].add(e, "pump")
+			logs[i].add(e, "pump")
 			if hops++; hops < 20 {
 				e.Schedule(100*Nanosecond, pump)
 			}
@@ -226,7 +214,7 @@ func TestShardGroupMatchesSingleEngine(t *testing.T) {
 		dst := (i + 1) % n
 		var hop func(from, at int, ttl int)
 		hop = func(from, at int, ttl int) {
-			refLogs[at].add(e, fmt.Sprintf("msg<-%d", from))
+			logs[at].add(e, fmt.Sprintf("msg<-%d", from))
 			if ttl > 0 {
 				next := (at + 1) % n
 				e.Schedule(latency, func() { hop(at, next, ttl-1) })
@@ -235,8 +223,21 @@ func TestShardGroupMatchesSingleEngine(t *testing.T) {
 		e.Schedule(latency+Tick(10+i), func() { hop(i, dst, 12) })
 	}
 	e.Run(2 * Microsecond)
-	want := journalDigest(refLogs)
+	return journalDigest(logs)
+}
 
+// TestShardGroupMatchesSingleEngine runs the identical logical workload
+// on one monolithic Engine and on a sharded group, and requires
+// identical journals. Timestamps in the workload are globally unique,
+// so this proves the windowed runtime neither reorders, drops, nor
+// duplicates events relative to sequential execution.
+func TestShardGroupMatchesSingleEngine(t *testing.T) {
+	const (
+		n       = 4
+		window  = 5 * Nanosecond
+		latency = 5 * Nanosecond
+	)
+	want := singleEngineJournal(n, latency)
 	got, _ := runPingPong(n, n, window, latency)
 	if got != want {
 		t.Errorf("sharded journal differs from monolithic engine:\n--- monolithic\n%s--- sharded\n%s", want, got)
@@ -308,11 +309,10 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// runPingPongAt is runPingPong with explicit window policy, optional
-// per-pair (ring-edge) lookahead registration, and engine options.
-func runPingPongAt(shards, workers int, window, latency Tick, policy WindowPolicy, registerLook bool, opts ...EngineOption) (string, *ShardGroup) {
-	g := NewShardGroup(shards, window, workers, opts...)
-	g.SetWindowPolicy(policy)
+// runPingPongAt is runPingPong with optional per-pair (ring-edge)
+// lookahead registration.
+func runPingPongAt(shards, workers int, window, latency Tick, registerLook bool) (string, *ShardGroup) {
+	g := NewShardGroup(shards, window, workers)
 	if registerLook && shards > 1 {
 		for i := 0; i < shards; i++ {
 			g.SetLookahead(i, (i+1)%shards, latency)
@@ -323,24 +323,21 @@ func runPingPongAt(shards, workers int, window, latency Tick, policy WindowPolic
 	return journalDigest(logs), g
 }
 
-// TestShardGroupPolicyEquivalence: the adaptive per-shard horizons must
-// produce journals byte-identical to the legacy lockstep windows, for
-// tight and slack link latencies, with and without registered per-pair
-// lookaheads, across worker counts.
+// TestShardGroupPolicyEquivalence: the per-shard earliest-input-time
+// horizons must produce journals byte-identical to the single-engine
+// run, for tight and slack link latencies, with and without registered
+// per-pair lookaheads, across worker counts.
 func TestShardGroupPolicyEquivalence(t *testing.T) {
 	const window = 5 * Nanosecond
 	for _, shards := range []int{2, 3, 4} {
 		for _, latency := range []Tick{window, 3 * window} {
-			ref, _ := runPingPongAt(shards, 1, window, latency, LockstepWindows, false)
+			ref := singleEngineJournal(shards, latency)
 			for _, workers := range []int{1, shards} {
 				for _, look := range []bool{false, true} {
-					got, g := runPingPongAt(shards, workers, window, latency, AdaptiveWindows, look)
+					got, _ := runPingPongAt(shards, workers, window, latency, look)
 					if got != ref {
-						t.Errorf("shards=%d latency=%v workers=%d look=%v: adaptive journal differs from lockstep:\n--- lockstep\n%s--- adaptive\n%s",
+						t.Errorf("shards=%d latency=%v workers=%d look=%v: sharded journal differs from single engine:\n--- single\n%s--- sharded\n%s",
 							shards, latency, workers, look, ref, got)
-					}
-					if g.Policy() != AdaptiveWindows {
-						t.Fatalf("Policy() = %v, want adaptive", g.Policy())
 					}
 				}
 			}
@@ -348,19 +345,16 @@ func TestShardGroupPolicyEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardGroupAdaptiveFewerRounds: with slack links (latency = 3W)
-// and registered lookaheads, adaptive horizons must advance in strictly
-// fewer barrier rounds than lockstep — the whole point of replacing the
-// global min-latency window.
+// TestShardGroupAdaptiveFewerRounds pins the barrier-round count with
+// slack links (latency = 3W) and registered lookaheads: 31 rounds and
+// no idle skips. The global-window scheme the per-pair horizons
+// replaced needed 32 rounds on this workload; a horizon computation
+// that falls back to one global window shows up here as extra rounds.
 func TestShardGroupAdaptiveFewerRounds(t *testing.T) {
 	const window = 5 * Nanosecond
-	_, lock := runPingPongAt(4, 1, window, 3*window, LockstepWindows, false)
-	_, adpt := runPingPongAt(4, 1, window, 3*window, AdaptiveWindows, true)
-	if adpt.WindowsRun >= lock.WindowsRun {
-		t.Fatalf("adaptive ran %d rounds, lockstep %d — expected strictly fewer", adpt.WindowsRun, lock.WindowsRun)
-	}
-	if lock.IdleSkips != 0 {
-		t.Fatalf("lockstep counted %d idle skips, want 0", lock.IdleSkips)
+	_, g := runPingPongAt(4, 1, window, 3*window, true)
+	if g.WindowsRun != 31 || g.IdleSkips != 0 {
+		t.Fatalf("ran %d rounds with %d idle skips, want 31 and 0", g.WindowsRun, g.IdleSkips)
 	}
 }
 
@@ -385,8 +379,9 @@ func TestShardGroupIdleSkips(t *testing.T) {
 	if len(ticks) != 10 {
 		t.Fatalf("busy shard ran %d events, want 10", len(ticks))
 	}
-	if g.IdleSkips == 0 {
-		t.Fatal("empty shards were dispatched: IdleSkips = 0")
+	// Two empty shards skipped in each of the 5 rounds.
+	if g.WindowsRun != 5 || g.IdleSkips != 10 {
+		t.Fatalf("ran %d rounds with %d idle skips, want 5 and 10", g.WindowsRun, g.IdleSkips)
 	}
 	for i := 0; i < 3; i++ {
 		if now := g.Shard(i).Engine().Now(); now != Microsecond {
@@ -395,20 +390,6 @@ func TestShardGroupIdleSkips(t *testing.T) {
 	}
 	if g.Now() != Microsecond {
 		t.Fatalf("group clock = %v, want 1us", g.Now())
-	}
-}
-
-// TestShardGroupCalendarQueueEquivalence: shard engines built on the
-// calendar queue must replay the exact journal of the heap-backed run.
-func TestShardGroupCalendarQueueEquivalence(t *testing.T) {
-	const window = 5 * Nanosecond
-	ref, _ := runPingPongAt(4, 1, window, window, AdaptiveWindows, true)
-	got, g := runPingPongAt(4, 2, window, window, AdaptiveWindows, true, WithQueue(Calendar))
-	if got != ref {
-		t.Fatalf("calendar-queue journal differs from heap journal:\n--- heap\n%s--- calendar\n%s", ref, got)
-	}
-	if k := g.Shard(0).Engine().Queue(); k != Calendar {
-		t.Fatalf("shard engine queue = %v, want calendar", k)
 	}
 }
 
@@ -424,8 +405,5 @@ func TestSetLookaheadValidation(t *testing.T) {
 	g.SetLookahead(0, 1, 30*Nanosecond)
 	if g.look[0][1] != 8*Nanosecond {
 		t.Fatalf("look[0][1] = %v, want 8ns (minimum of registrations)", g.look[0][1])
-	}
-	if WindowPolicy(9).String() == "" || AdaptiveWindows.String() != "adaptive" || LockstepWindows.String() != "lockstep" {
-		t.Fatal("WindowPolicy String names wrong")
 	}
 }

@@ -37,9 +37,6 @@ type ClusterConfig struct {
 	// Workers bounds the shard-driving goroutine pool; 0 means
 	// GOMAXPROCS. Never affects simulation results.
 	Workers int
-	// Window selects the PDES horizon scheme (default
-	// sim.AdaptiveWindows); digest-identical either way.
-	Window sim.WindowPolicy
 	// SwitchBytesPerSec serializes switch egress at that line rate;
 	// 0 keeps every switch in passthrough (forward at ingress time).
 	SwitchBytesPerSec uint64
@@ -122,13 +119,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	c := &Cluster{
 		Topo:   topo,
-		Group:  sim.NewShardGroup(topo.Shards, window, cfg.Workers, sim.WithQueue(cfg.Server.Queue)),
+		Group:  sim.NewShardGroup(topo.Shards, window, cfg.Workers),
 		window: window,
 	}
-	c.Group.SetWindowPolicy(cfg.Window)
 	// The only cross-shard channels are leaf<->spine trunks (spines live
-	// on shard 0), all at the fabric latency; register them so adaptive
-	// horizons know the exact channel graph.
+	// on shard 0), all at the fabric latency; register them so the
+	// per-shard horizons know the exact channel graph.
 	for r := 0; r < topo.Racks; r++ {
 		if shard := topo.ShardOfRack(r); shard != 0 {
 			c.Group.SetLookahead(shard, 0, topo.FabricLatency)

@@ -55,13 +55,6 @@ type Config struct {
 	// Enabled by default; scraping and journaling never perturb
 	// simulation state (StateDigest is identical either way).
 	Telemetry TelemetryConfig
-
-	// Queue selects the event-queue discipline of every engine this
-	// config builds (NewSystem, Rack, ParallelRack, Cluster shards).
-	// The default sim.Heap is fastest for small pending populations;
-	// sim.Calendar wins once an engine holds ~100k+ pending events
-	// (BENCH.json engine_calendar). Either choice is digest-identical.
-	Queue sim.QueueKind
 }
 
 // TelemetryConfig tunes the telemetry plane.

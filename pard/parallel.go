@@ -31,11 +31,6 @@ type ParallelRackConfig struct {
 	// LinkLatency is the wire latency of every link, and therefore the
 	// group's conservative lookahead window. 0 means DefaultLinkLatency.
 	LinkLatency Tick
-	// Window selects the coordinator's horizon scheme. The zero value
-	// is sim.AdaptiveWindows (per-pair channel clocks + inactive-shard
-	// skips); sim.LockstepWindows restores the legacy global window.
-	// Either policy is digest-identical (parallel_test.go).
-	Window sim.WindowPolicy
 }
 
 // ParallelRack is Rack sharded across engines: each shard owns a subset
@@ -67,11 +62,10 @@ func NewParallelRack(cfg Config, pc ParallelRackConfig) *ParallelRack {
 		pc.LinkLatency = DefaultLinkLatency
 	}
 	r := &ParallelRack{
-		Group:  sim.NewShardGroup(pc.Shards, pc.LinkLatency, pc.Workers, sim.WithQueue(cfg.Queue)),
+		Group:  sim.NewShardGroup(pc.Shards, pc.LinkLatency, pc.Workers),
 		window: pc.LinkLatency,
 		links:  make(map[linkKey]bool),
 	}
-	r.Group.SetWindowPolicy(pc.Window)
 	for i := 0; i < pc.Servers; i++ {
 		shard := i % pc.Shards
 		r.shardOf = append(r.shardOf, shard)
@@ -119,7 +113,7 @@ func (r *ParallelRack) ConnectLatency(i, j int, latency Tick) error {
 		r.Servers[j].NIC.ConnectWire(&crossWire{
 			src: r.Group.Shard(sj), dst: si, peer: r.Servers[i].NIC,
 		}, latency)
-		// Register the channel's lookahead so the adaptive policy can
+		// Register the channel's lookahead so the coordinator can
 		// hold this pair's horizon at the real wire latency instead of
 		// the global minimum window.
 		r.Group.SetLookahead(si, sj, latency)

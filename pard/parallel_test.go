@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -160,72 +159,5 @@ func TestParallelRackValidation(t *testing.T) {
 		if err := pr.Connect(pair[0], pair[1]); err == nil {
 			t.Errorf("link %v accepted", pair)
 		}
-	}
-}
-
-// parallelRackDigestCfg is parallelRackDigest with the rack and server
-// configs exposed for mutation (window policy, queue kind).
-func parallelRackDigestCfg(t *testing.T, n int, pc ParallelRackConfig, mod func(*Config)) string {
-	t.Helper()
-	cfg := equivConfig()
-	if mod != nil {
-		mod(&cfg)
-	}
-	pc.Servers = n
-	pr := NewParallelRack(cfg, pc)
-	if err := pr.ConnectRing(); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, pr.Servers)
-	pr.Run(equivRun)
-	return StateDigest(pr.Servers)
-}
-
-// TestParallelRackWindowPolicyEquivalence: for racks 2/4/8 × shards
-// 1/2/4, the adaptive per-shard horizons (the default) must reproduce
-// the lockstep digest byte-for-byte — window policy never reaches
-// simulation state.
-func TestParallelRackWindowPolicyEquivalence(t *testing.T) {
-	for _, n := range []int{2, 4, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			if shards > n {
-				continue
-			}
-			lock := parallelRackDigestCfg(t, n, ParallelRackConfig{
-				Shards: shards, Workers: shards, Window: sim.LockstepWindows,
-			}, nil)
-			adpt := parallelRackDigestCfg(t, n, ParallelRackConfig{
-				Shards: shards, Workers: shards, Window: sim.AdaptiveWindows,
-			}, nil)
-			if adpt != lock {
-				t.Errorf("n=%d shards=%d: adaptive digest differs from lockstep: %s",
-					n, shards, firstDiff(lock, adpt))
-			}
-		}
-	}
-}
-
-// TestParallelRackCalendarQueue: shard engines on the calendar queue
-// must reproduce the sequential heap rack's digest byte-for-byte, and
-// the sequential rack itself must be queue-invariant.
-func TestParallelRackCalendarQueue(t *testing.T) {
-	want := sequentialRackDigest(t, 4)
-
-	calCfg := equivConfig()
-	calCfg.Queue = sim.Calendar
-	rack := NewRack(calCfg, 4)
-	if err := rack.ConnectRing(DefaultLinkLatency); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, rack.Servers)
-	rack.Run(equivRun)
-	if got := StateDigest(rack.Servers); got != want {
-		t.Errorf("sequential calendar-queue digest differs from heap: %s", firstDiff(want, got))
-	}
-
-	got := parallelRackDigestCfg(t, 4, ParallelRackConfig{Shards: 2, Workers: 2},
-		func(c *Config) { c.Queue = sim.Calendar })
-	if got != want {
-		t.Errorf("parallel calendar-queue digest differs from sequential heap: %s", firstDiff(want, got))
 	}
 }
